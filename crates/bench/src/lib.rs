@@ -5,6 +5,11 @@
 //! table3`); this library holds the shared runner: benchmark loading,
 //! OVS pre-processing, timed solver sweeps, and plain-text table/series
 //! rendering.
+//!
+//! End-to-end performance (setup time, per-request latency, throughput and
+//! peak memory on fixed workloads) is measured by the separate `antbench`
+//! crate, declared in `BENCHMARK.json`; these binaries regenerate the
+//! paper's tables, not regression numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,7 +17,6 @@
 pub mod fuzz;
 pub mod render;
 pub mod runner;
-pub mod schema;
 pub mod trace;
 
 pub use runner::{run_suite, BenchResult, SuiteResults};

@@ -1,7 +1,7 @@
 //! Shared benchmark runner.
 
 use ant_common::SolverStats;
-use ant_constraints::pipeline::{PassPipeline, PassSummary};
+use ant_constraints::pipeline::PassPipeline;
 use ant_constraints::{ConstraintStats, Program};
 use ant_core::{solve_dyn, Algorithm, PtsKind, SolverConfig};
 use ant_frontend::suite::{default_suite, scale_from_env};
@@ -12,8 +12,7 @@ use std::time::Duration;
 /// exact input the paper's solvers receive ("the results reported are for
 /// these reduced constraint files").
 ///
-/// All reduction bookkeeping comes from one [`PassPipeline::full`] run;
-/// the per-pass breakdown is kept in [`PreparedBench::passes`].
+/// All reduction bookkeeping comes from one [`PassPipeline::full`] run.
 #[derive(Clone, Debug)]
 pub struct PreparedBench {
     /// Benchmark name (paper's Table 2 rows).
@@ -24,8 +23,6 @@ pub struct PreparedBench {
     pub original: ConstraintStats,
     /// Constraint counts after the offline pass pipeline.
     pub reduced: ConstraintStats,
-    /// Per-pass reduction summaries from the pipeline run.
-    pub passes: Vec<PassSummary>,
     /// OVS pre-processing time (the pipeline's `ovs` pass).
     pub ovs_time: Duration,
     /// HCD offline analysis time on the reduced program (Table 3's
@@ -49,7 +46,6 @@ fn prepare_one(name: String, loc: usize, program: Program) -> PreparedBench {
             .map(|s| s.elapsed)
             .unwrap_or_default(),
         hcd_offline_time: prepared.hcd.as_ref().map(|h| h.elapsed).unwrap_or_default(),
-        passes: prepared.summaries,
         program: prepared.program,
     }
 }
@@ -78,40 +74,35 @@ pub struct BenchResult {
 }
 
 /// Number of repetitions from `ANT_BENCH_REPEATS` (default 1; the paper
-/// uses 3). The older spelling `ANT_REPEATS` is still honoured when the
-/// new one is unset. Invalid or zero values are clamped to 1 with a
-/// warning rather than silently ignored.
+/// uses 3). Invalid or zero values are clamped to 1 with a warning rather
+/// than silently ignored.
 pub fn repeats_from_env() -> usize {
-    let bench = std::env::var("ANT_BENCH_REPEATS").ok();
-    let legacy = std::env::var("ANT_REPEATS").ok();
-    let (repeats, warning) = parse_repeats(bench.as_deref(), legacy.as_deref());
+    let value = std::env::var("ANT_BENCH_REPEATS").ok();
+    let (repeats, warning) = parse_repeats(value.as_deref());
     if let Some(w) = warning {
         eprintln!("warning: {w}");
     }
     repeats
 }
 
-/// Pure core of [`repeats_from_env`]: `bench` is `ANT_BENCH_REPEATS`,
-/// `legacy` the older `ANT_REPEATS` (used only when `bench` is unset).
+/// Pure core of [`repeats_from_env`]: `value` is `ANT_BENCH_REPEATS`.
 /// Returns the repeat count plus a warning to surface when the value was
 /// rejected.
-pub fn parse_repeats(bench: Option<&str>, legacy: Option<&str>) -> (usize, Option<String>) {
-    let (name, value) = match (bench, legacy) {
-        (Some(v), _) => ("ANT_BENCH_REPEATS", v),
-        (None, Some(v)) => ("ANT_REPEATS", v),
-        (None, None) => return (1, None),
+pub fn parse_repeats(value: Option<&str>) -> (usize, Option<String>) {
+    let Some(value) = value else {
+        return (1, None);
     };
     match value.trim().parse::<usize>() {
         Ok(0) => (
             1,
-            Some(format!(
-                "{name}=0 is not a valid repeat count; clamping to 1"
-            )),
+            Some("ANT_BENCH_REPEATS=0 is not a valid repeat count; clamping to 1".to_string()),
         ),
         Ok(n) => (n, None),
         Err(_) => (
             1,
-            Some(format!("{name}=`{value}` is not a number; using 1 repeat")),
+            Some(format!(
+                "ANT_BENCH_REPEATS=`{value}` is not a number; using 1 repeat"
+            )),
         ),
     }
 }
@@ -227,24 +218,21 @@ mod tests {
     }
 
     #[test]
-    fn parse_repeats_accepts_both_spellings() {
-        assert_eq!(parse_repeats(None, None), (1, None));
-        assert_eq!(parse_repeats(Some("3"), None), (3, None));
-        assert_eq!(parse_repeats(None, Some("5")), (5, None));
-        // The new spelling wins when both are set.
-        assert_eq!(parse_repeats(Some("2"), Some("9")), (2, None));
-        assert_eq!(parse_repeats(Some(" 4 "), None), (4, None));
+    fn parse_repeats_reads_the_count() {
+        assert_eq!(parse_repeats(None), (1, None));
+        assert_eq!(parse_repeats(Some("3")), (3, None));
+        assert_eq!(parse_repeats(Some(" 4 ")), (4, None));
     }
 
     #[test]
     fn parse_repeats_rejects_zero_and_garbage_with_a_warning() {
-        let (r, warn) = parse_repeats(Some("0"), None);
+        let (r, warn) = parse_repeats(Some("0"));
         assert_eq!(r, 1);
         assert!(warn.unwrap().contains("ANT_BENCH_REPEATS=0"));
-        let (r, warn) = parse_repeats(None, Some("three"));
+        let (r, warn) = parse_repeats(Some("three"));
         assert_eq!(r, 1);
-        assert!(warn.unwrap().contains("ANT_REPEATS=`three`"));
-        let (r, warn) = parse_repeats(Some("-2"), None);
+        assert!(warn.unwrap().contains("ANT_BENCH_REPEATS=`three`"));
+        let (r, warn) = parse_repeats(Some("-2"));
         assert_eq!(r, 1);
         assert!(warn.is_some());
     }

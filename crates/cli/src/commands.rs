@@ -746,7 +746,6 @@ pub fn serve(args: &[String]) -> Result<(), AntError> {
     };
     session_opts.record = cfg.record;
     session_opts.deadline_ms = deadline_ms;
-    session_opts.threads = cfg.solver.threads;
     let mut session = AnalysisSession::new(session_opts)?;
     // The positional file is pre-loaded before serving; `.c` sources are
     // compiled here (the protocol's `load` op only accepts constraint

@@ -25,10 +25,6 @@
 //! Solves are keyed by a content hash of program + solver configuration
 //! ([`AnalysisSession::content_key`]), so re-loading a translation unit
 //! the session has already solved reuses the cached solution.
-//! [`AnalysisSession::handle_lines`] fans independent read-only queries out
-//! over [`std::thread::scope`] against the immutable solution; requests
-//! that mutate the session (`load`, a query that triggers the first solve)
-//! act as barriers.
 //!
 //! [`AntErrorKind::wire_name`]: ant_common::AntErrorKind::wire_name
 //! [`SolutionMapping`]: ant_constraints::pipeline::SolutionMapping
@@ -76,14 +72,11 @@ pub struct SessionOptions {
     /// longer gets a `deadline_exceeded` envelope instead. `None` disables
     /// the check.
     pub deadline_ms: Option<u64>,
-    /// Fan-out width for batches of read-only queries (`1` = sequential).
-    pub threads: usize,
 }
 
 impl SessionOptions {
     /// Defaults: the given algorithm configuration, bitmap sets, the
-    /// standard `normalize,ovs` pipeline, no recording, no deadline,
-    /// sequential query handling.
+    /// standard `normalize,ovs` pipeline, no recording, no deadline.
     pub fn new(config: SolverConfig) -> Self {
         SessionOptions {
             config,
@@ -91,7 +84,6 @@ impl SessionOptions {
             passes: "normalize,ovs".to_string(),
             record: false,
             deadline_ms: None,
-            threads: 1,
         }
     }
 }
@@ -216,14 +208,6 @@ impl Op {
             Op::Shutdown => "shutdown",
         }
     }
-
-    /// Can this op run concurrently against an immutable solved session?
-    fn read_only(&self) -> bool {
-        matches!(
-            self,
-            Op::PointsTo { .. } | Op::MayAlias { .. } | Op::Resolve { .. }
-        )
-    }
 }
 
 fn malformed(msg: impl Into<String>) -> AntError {
@@ -301,7 +285,8 @@ enum Payload {
     Shutdown,
 }
 
-/// Everything a read-only query needs, shareable across scoped threads.
+/// Everything a read-only query needs: borrowed views of the loaded program
+/// and its active solution.
 struct SessionView<'a> {
     program: &'a Program,
     mapping: &'a SolutionMapping,
@@ -389,7 +374,9 @@ impl AnalysisSession {
     /// The content key a load of `program` would solve under: a hash of
     /// the program's structure (constraints, variable space, offset
     /// limits) and everything about the configuration that could change
-    /// the solve. Two loads with equal keys share one cached solution.
+    /// the solve. Two loads with equal keys share one cached solution. The
+    /// solver's thread count is left out: solutions and counters are
+    /// identical at every thread count.
     pub fn content_key(&self, program: &Program) -> u64 {
         let mut h = FxHasher::default();
         h.write_usize(program.num_vars());
@@ -402,7 +389,6 @@ impl AnalysisSession {
         self.opts.config.algorithm.hash(&mut h);
         self.opts.config.prop.hash(&mut h);
         h.write(format!("{:?}", self.opts.config.worklist).as_bytes());
-        h.write_usize(self.opts.config.threads);
         h.write(self.opts.pts.name().as_bytes());
         h.write(self.opts.passes.as_bytes());
         h.write_u8(self.opts.record as u8);
@@ -798,7 +784,7 @@ impl AnalysisSession {
         }
     }
 
-    /// Handles one request line, sequentially. Never panics and never
+    /// Handles one request line. Never panics and never
     /// returns an error — failures become typed error envelopes.
     pub fn handle_line(&mut self, line: &str) -> Reply {
         let start = Instant::now();
@@ -819,138 +805,6 @@ impl AnalysisSession {
                 }
             }
         }
-    }
-
-    /// Handles a batch of request lines, in order. Maximal runs of
-    /// consecutive read-only queries (`points_to`, `may_alias`, `resolve`)
-    /// against an already-solved session fan out over
-    /// [`std::thread::scope`] with [`SessionOptions::threads`] workers;
-    /// unparseable lines ride along in the run (their error envelope needs
-    /// no session state), while everything else — including the query that
-    /// triggers the lazy solve — is a barrier. Reply order always matches
-    /// request order.
-    pub fn handle_lines(&mut self, lines: &[&str]) -> Vec<Reply> {
-        let mut replies: Vec<Reply> = Vec::with_capacity(lines.len());
-        let mut i = 0;
-        while i < lines.len() {
-            // Gather a run of requests that can share the read-only view.
-            let mut batch: Vec<(Instant, Result<Request, AntError>)> = Vec::new();
-            while i < lines.len() {
-                if self.active.is_none() || self.loaded.is_none() {
-                    break;
-                }
-                let start = Instant::now();
-                match parse_request(lines[i]) {
-                    Ok(req) if req.op.read_only() => {
-                        batch.push((start, Ok(req)));
-                        i += 1;
-                    }
-                    Err(e) => {
-                        batch.push((start, Err(e)));
-                        i += 1;
-                    }
-                    Ok(_) => break,
-                }
-            }
-            if !batch.is_empty() {
-                replies.extend(self.run_batch(batch));
-                continue;
-            }
-            replies.push(self.handle_line(lines[i]));
-            i += 1;
-            if replies.last().is_some_and(|r| r.shutdown) {
-                break;
-            }
-        }
-        replies
-    }
-
-    /// Smallest batch slice worth a spawned worker: below this, the
-    /// OS-thread spawn costs more than the queries it would answer.
-    const MIN_BATCH_PER_WORKER: usize = 256;
-
-    /// Fans a batch of read-only requests out over scoped threads.
-    fn run_batch(&mut self, batch: Vec<(Instant, Result<Request, AntError>)>) -> Vec<Reply> {
-        let view = match self.view() {
-            Ok(v) => v,
-            Err(e) => {
-                // Batches only form against a solved session, so this is an
-                // internal inconsistency — answer every request with the
-                // typed error rather than panicking.
-                let replies: Vec<Reply> = batch
-                    .iter()
-                    .map(|(start, req)| reply_for_error(req, &e, *start))
-                    .collect();
-                self.requests += replies.len() as u64;
-                self.errors += replies.len() as u64;
-                return replies;
-            }
-        };
-        let deadline = self.opts.deadline_ms;
-        let workers = self
-            .opts
-            .threads
-            .max(1)
-            .min(batch.len().div_ceil(Self::MIN_BATCH_PER_WORKER));
-        let answer_one =
-            |view: &SessionView<'_>, start: Instant, req: &Result<Request, AntError>| -> Reply {
-                match req {
-                    Ok(req) => {
-                        let result = view.answer(&req.op).map(Payload::Fields);
-                        finish_reply(req, result, start, deadline)
-                    }
-                    Err(e) => Reply {
-                        json: envelope(None, None, Err(e), elapsed_micros(start)),
-                        op: "malformed",
-                        ok: false,
-                        micros: elapsed_micros(start),
-                        shutdown: false,
-                    },
-                }
-            };
-        let replies: Vec<Reply> = if workers <= 1 {
-            batch
-                .iter()
-                .map(|(start, req)| answer_one(&view, *start, req))
-                .collect()
-        } else {
-            // Chunk round-robin-free: contiguous slices keep reply order
-            // reconstruction trivial (chunks concatenate in order).
-            let chunk = batch.len().div_ceil(workers);
-            let mut out: Vec<Vec<Reply>> = Vec::new();
-            std::thread::scope(|s| {
-                let view = &view;
-                let handles: Vec<_> = batch
-                    .chunks(chunk)
-                    .map(|part| {
-                        s.spawn(move || {
-                            part.iter()
-                                .map(|(start, req)| answer_one(view, *start, req))
-                                .collect::<Vec<Reply>>()
-                        })
-                    })
-                    .collect();
-                for (part, h) in batch.chunks(chunk).zip(handles) {
-                    match h.join() {
-                        Ok(replies) => out.push(replies),
-                        Err(_) => {
-                            // A worker panicked: its whole chunk gets typed
-                            // solver-error envelopes; the session survives.
-                            let e = AntError::solver("query worker panicked; request not answered");
-                            out.push(
-                                part.iter()
-                                    .map(|(start, req)| reply_for_error(req, &e, *start))
-                                    .collect(),
-                            );
-                        }
-                    }
-                }
-            });
-            out.into_iter().flatten().collect()
-        };
-        self.requests += replies.len() as u64;
-        self.errors += replies.iter().filter(|r| !r.ok).count() as u64;
-        replies
     }
 
     /// Wraps an executed op's result into a reply and updates counters.
@@ -1070,29 +924,6 @@ fn read_source(path: &Option<String>, text: &Option<String>) -> Result<String, A
         // parse_request rejects this shape, but read_source stays total: a
         // future caller skipping that check gets a typed error, not a panic.
         (None, None) => Err(malformed("op needs a `path` or `text` field")),
-    }
-}
-
-/// Answers a request with `fallback` — an internal failure that pre-empted
-/// the normal answer path — preserving the request's id/op echo.
-/// Unparseable requests keep their own parse error.
-fn reply_for_error(req: &Result<Request, AntError>, fallback: &AntError, start: Instant) -> Reply {
-    let micros = elapsed_micros(start);
-    match req {
-        Ok(r) => Reply {
-            json: envelope(r.id.as_ref(), Some(r.op.name()), Err(fallback), micros),
-            op: r.op.name(),
-            ok: false,
-            micros,
-            shutdown: false,
-        },
-        Err(e) => Reply {
-            json: envelope(None, None, Err(e), micros),
-            op: "malformed",
-            ok: false,
-            micros,
-            shutdown: false,
-        },
     }
 }
 
@@ -1289,45 +1120,29 @@ mod tests {
     }
 
     #[test]
-    fn batched_reads_match_sequential_and_preserve_order() {
+    fn shutdown_is_flagged_and_only_by_shutdown() {
+        let mut s = loaded_session(opts());
+        assert!(!s.handle_line(r#"{"op":"points_to","var":"q"}"#).shutdown);
+        let r = s.handle_line(r#"{"id":3,"op":"shutdown"}"#);
+        assert!(r.ok && r.shutdown && r.op == "shutdown", "{}", r.json);
+        // A shutdown envelope is never cut short by the deadline check.
         let mut o = opts();
-        o.threads = 4;
-        let mut s = loaded_session(o);
-        // Force the solve so the whole batch is read-only.
-        assert!(s.handle_line(r#"{"op":"stats"}"#).ok);
-        let lines: Vec<String> = (0..64)
-            .map(|i| match i % 3 {
-                0 => r#"{"op":"points_to","var":"q"}"#.to_string(),
-                1 => format!(r#"{{"id":{i},"op":"may_alias","a":"p","b":"q"}}"#),
-                _ => r#"{"op":"resolve","var":"r"}"#.to_string(),
-            })
-            .collect();
-        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-        let batched = s.handle_lines(&refs);
-        let mut seq = loaded_session(opts());
-        assert!(seq.handle_line(r#"{"op":"stats"}"#).ok);
-        for (line, b) in refs.iter().zip(&batched) {
-            let r = seq.handle_line(line);
-            // Strip micros (timing differs); everything else is identical.
-            let strip = |j: &str| {
-                let mut m = parse_object(j).unwrap();
-                m.remove("micros");
-                format!("{m:?}")
-            };
-            assert_eq!(strip(&r.json), strip(&b.json));
-        }
-        let m = parse_object(&s.handle_line(r#"{"op":"stats"}"#).json).unwrap();
-        // load + stats + 64 batched; the counter is read before the final
-        // stats request itself is counted.
-        assert_eq!(field(&m, "requests").as_u64(), Some(66));
+        o.deadline_ms = Some(0);
+        let r = loaded_session(o).handle_line(r#"{"op":"shutdown"}"#);
+        assert!(r.ok && r.shutdown, "{}", r.json);
     }
 
     #[test]
-    fn shutdown_stops_the_batch() {
-        let mut s = loaded_session(opts());
-        let replies = s.handle_lines(&[r#"{"op":"shutdown"}"#, r#"{"op":"points_to","var":"q"}"#]);
-        assert_eq!(replies.len(), 1);
-        assert!(replies[0].shutdown);
+    fn content_key_ignores_the_thread_count() {
+        let program = parse_program("p = &x\nq = p\nr = &y\n").unwrap();
+        let key = |threads: usize| {
+            let mut config = SolverConfig::new(Algorithm::LcdHcd);
+            config.threads = threads;
+            AnalysisSession::new(SessionOptions::new(config))
+                .unwrap()
+                .content_key(&program)
+        };
+        assert_eq!(key(1), key(4));
     }
 
     #[test]

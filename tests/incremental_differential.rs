@@ -18,7 +18,7 @@
 //! * **Not** resume-vs-scratch counter equality: a resumed solve only
 //!   re-processes nodes the delta disturbs, so its cumulative counters are
 //!   *smaller* than the scratch union's — that gap is the entire point of
-//!   warm starting (the BENCH_incr speedup).
+//!   warm starting.
 
 use ant_grasshopper::{
     resume_dyn, solve_dyn, solve_dyn_resumable, Algorithm, Program, ProgramBuilder, PropMode,

@@ -2,8 +2,9 @@
 //! view over the same analysis, so every `points_to` / `may_alias` answer a
 //! session gives must be bit-identical to the expanded solution a one-shot
 //! [`Analysis`] computes — across every algorithm and the bitmap/shared
-//! representations, with sequential and fanned-out query handling. Error
-//! inputs must come back as typed envelopes, never a dead session.
+//! representations, asked one request line at a time exactly as `ant serve`
+//! asks. Error inputs must come back as typed envelopes, never a dead
+//! session.
 
 use ant_grasshopper::common::obs::{parse_object, JsonValue};
 use ant_grasshopper::frontend::workload::WorkloadSpec;
@@ -37,7 +38,6 @@ fn assert_session_matches(name: &str, program: &Program, alg: Algorithm, pts: Pt
 
     let mut opts = SessionOptions::new(config);
     opts.pts = pts;
-    opts.threads = 4; // fan read batches out over scoped threads
     let mut session = AnalysisSession::new(opts).unwrap();
     session.load_program(program.clone()).unwrap();
 
@@ -52,9 +52,7 @@ fn assert_session_matches(name: &str, program: &Program, alg: Algorithm, pts: Pt
             pair[0], pair[1]
         ));
     }
-    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let replies = session.handle_lines(&refs);
-    assert_eq!(replies.len(), refs.len());
+    let replies: Vec<_> = lines.iter().map(|l| session.handle_line(l)).collect();
 
     for (i, n) in names.iter().enumerate() {
         let reply = &replies[i];
